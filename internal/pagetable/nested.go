@@ -20,6 +20,9 @@ type NestedTable struct {
 	Guest *Table
 	// Host translates gPA -> hPA.
 	Host *Table
+	// buf backs NestedWalkResult.Accesses, under the same aliasing rule
+	// as WalkResult.Accesses: valid until this table's next Walk.
+	buf []phys.Addr
 }
 
 // NestedWalkResult extends WalkResult with a breakdown of where the
@@ -35,54 +38,50 @@ type NestedWalkResult struct {
 // with, §7.2 footnote 4) caches guest-dimension nodes and may be nil.
 // All returned accesses are host-physical addresses, charged by the caller
 // through the cache hierarchy.
+//
+//vbi:hotpath
 func (n *NestedTable) Walk(gva uint64, hostPWC, guestPWC *tlb.PWC) NestedWalkResult {
 	var res NestedWalkResult
-	g := n.Guest
-	node := g.root // a gPA
-	start := 0
-	if guestPWC != nil {
-		for k := g.Geo.Levels - 1; k >= 1; k-- {
-			if base, ok := guestPWC.Lookup(k, g.prefixAt(gva, k)); ok {
-				node = phys.Addr(base)
-				start = k
-				break
-			}
-		}
-	}
+	g, h := n.Guest, n.Host
+	acc := n.buf[:0]
+	ni, start := g.walkStart(gva, guestPWC)
 	for k := start; k < g.Geo.Levels; k++ {
-		gpaOfPTE := pteAddr(node, g.indexAt(gva, k))
+		idx := g.indexAt(gva, k)
 		// Host walk to translate the guest PTE's gPA.
-		hw := n.Host.Walk(uint64(gpaOfPTE), hostPWC)
-		res.Accesses = append(res.Accesses, hw.Accesses...)
-		res.HostAccesses += len(hw.Accesses)
-		if !hw.OK {
-			return res // host fault on guest PT node
+		before := len(acc)
+		var hpa phys.Addr
+		var ok bool
+		acc, hpa, ok = h.walk(uint64(pteAddr(g.nodes[ni], idx)), hostPWC, acc)
+		res.HostAccesses += len(acc) - before
+		if !ok {
+			break // host fault on guest PT node
 		}
 		// The guest PTE read itself, at its host-physical location.
-		res.Accesses = append(res.Accesses, hw.Phys)
+		//vbi:allow hotalloc append into the table-owned scratch buffer, bounded by MaxAccesses; n.buf retains the capacity across walks
+		acc = append(acc, hpa)
 		res.GuestAccesses++
-		val, ok := g.pte[gpaOfPTE]
-		if !ok {
-			return res // guest fault
+		val := g.entries[ni][idx]
+		if val == absentEntry {
+			break // guest fault
 		}
 		if k < g.Geo.Levels-1 {
-			node = val
+			ni = int(val)
 			if guestPWC != nil {
-				guestPWC.Insert(k+1, g.prefixAt(gva, k+1), uint64(val))
+				guestPWC.Insert(k+1, g.prefixAt(gva, k+1), val)
 			}
-		} else {
-			// Final host walk for the data gPA.
-			gpa := val + phys.Addr(gva&(g.Geo.PageSize()-1))
-			hw := n.Host.Walk(uint64(gpa), hostPWC)
-			res.Accesses = append(res.Accesses, hw.Accesses...)
-			res.HostAccesses += len(hw.Accesses)
-			if !hw.OK {
-				return res
-			}
-			res.Phys = hw.Phys
-			res.OK = true
+			continue
+		}
+		// Final host walk for the data gPA.
+		gpa := val + gva&(g.Geo.PageSize()-1)
+		before = len(acc)
+		acc, hpa, ok = h.walk(gpa, hostPWC, acc)
+		res.HostAccesses += len(acc) - before
+		if ok {
+			res.Phys, res.OK = hpa, true
 		}
 	}
+	n.buf = acc
+	res.Accesses = acc
 	return res
 }
 
