@@ -265,7 +265,9 @@ func (m *MTL) Prefill(u addr.VBUID, n uint64) error {
 	if n > u.Size() {
 		n = u.Size()
 	}
-	for region := uint64(0); region <= (n-1)>>RegionShift; region++ {
+	last := (n - 1) >> RegionShift
+	vb.regions.grow(last)
+	for region := uint64(0); region <= last; region++ {
 		if _, err := m.allocateRegion(vb, region); err != nil {
 			return err
 		}

@@ -1,9 +1,9 @@
 package phys
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"vbi/internal/addr"
 )
@@ -30,23 +30,29 @@ func OrderFor(size uint64) (int, bool) {
 	return 0, false
 }
 
-// blockKey uniquely names an existing buddy block: its base address plus its
-// order (the same base can exist at several orders after splits, but only
-// one of them is live at a time; the key disambiguates book-keeping).
-type blockKey struct {
-	base  Addr
-	order int
-}
-
 // Per-frame block metadata, indexed by frame number (base >> FrameShift).
 // Only the frame a block *starts* at carries its record; since at most one
 // block is live at a given base, one byte suffices: liveness, freeness and
-// the block's order.
+// the block's order. A zero record means no live block starts there.
 const (
 	metaLive  uint8 = 1 << 7
 	metaFree  uint8 = 1 << 6
 	metaOrder uint8 = 0x1f
 )
+
+// chunkShift sets the frames per frameChunk: 4096 frames, 16 MB of pool.
+const (
+	chunkShift  = 12
+	chunkFrames = 1 << chunkShift
+)
+
+// frameChunk holds the block records of chunkFrames consecutive frames:
+// each frame's metadata byte and the interned owner index of the block
+// starting there (meaningful only where meta has metaLive).
+type frameChunk struct {
+	meta  [chunkFrames]uint8
+	owner [chunkFrames]uint16
+}
 
 // bitset is a fixed-size bit vector over block indexes (frame >> order).
 type bitset []uint64
@@ -84,28 +90,27 @@ func (bs bitset) nextSet(from int) int {
 // reserved for other VBs (stealing, used only under memory pressure by
 // construction of the priority order).
 //
-// Book-keeping is flat and hash-free: block existence/state lives in a
-// per-frame metadata array, and the free blocks of each order are tracked
-// in per-order bitmaps searched lowest-base-first with find-first-set. A
-// per-order hint (a lower bound below which no bit is set) makes the
-// first-fit scan effectively O(1) under the allocator's own first-fit
-// placement. Placement is identical to the map-backed implementation this
-// replaced — both pick the lowest base at the smallest sufficient order —
-// but the hot path no longer hashes keys or churns map buckets, which
+// Book-keeping needs no map beyond owner interning: block existence,
+// state and owner live in per-frame records, and the free blocks of each
+// order are tracked in per-order bitmaps searched lowest-base-first with
+// find-first-set. A per-order hint (a lower bound below which no bit is
+// set) makes the first-fit scan effectively O(1) under the allocator's own
+// first-fit placement. The per-frame records are split into frameChunks
+// that are allocated on first write, so a machine pays for the records of
+// the memory its blocks actually touch rather than for its whole pool.
+// Placement is identical to the map-backed implementation this replaced —
+// both pick the lowest base at the smallest sufficient order — which
 // matters because region allocation sits on the machine-construction path
 // (Prefill) and, under delayed allocation (§5.1), on the per-writeback
 // path of the simulated run.
 type Buddy struct {
 	capacity uint64
 	nframes  uint64
-	// meta holds the block record of the frame each block starts at.
-	meta []uint8
-	// ownerOf is the interned owner index of the block starting at each
-	// frame (meaningful only where meta has metaLive).
-	ownerOf []uint16
-	// owners interns distinct reservation owners; owners[0] is the zero
-	// Owner ("unreserved").
-	owners   []Owner
+	// chunks holds the per-frame block records, chunkFrames frames per
+	// chunk; a nil chunk has no live block starting in it.
+	chunks []*frameChunk
+	// ownerIdx interns reservation owners as small indexes, from 1; index
+	// 0 is the zero Owner ("unreserved").
 	ownerIdx map[Owner]uint16
 
 	// freeUnres[o]/freeRes[o] mark the free order-o blocks by block index,
@@ -118,12 +123,13 @@ type Buddy struct {
 	cntUnres  [MaxOrder + 1]int
 	cntRes    [MaxOrder + 1]int
 	// cntResOwn[oi][o] counts reserved-free order-o blocks of owner index
-	// oi, for per-owner emptiness tests without a per-owner index.
+	// oi, for per-owner emptiness tests without a per-owner index;
+	// cntResOwn[0] stays zero.
 	cntResOwn [][MaxOrder + 1]int32
-
-	// allocatedFrom indexes allocated blocks carved out of each owner's
-	// reservation, so Unreserve can retag them.
-	allocatedFrom map[Owner]map[blockKey]struct{}
+	// allocOwn[oi] counts the live allocated blocks whose record carries
+	// owner index oi (index 0: blocks from no reservation), so Unreserve
+	// knows when its scan has retagged them all.
+	allocOwn []int32
 
 	freeBytes     uint64
 	reservedBytes uint64 // subset of freeBytes that is reserved
@@ -136,14 +142,12 @@ func NewBuddy(capacity uint64) *Buddy {
 	capacity &^= FrameSize - 1
 	nframes := capacity >> FrameShift
 	b := &Buddy{
-		capacity:      capacity,
-		nframes:       nframes,
-		meta:          make([]uint8, nframes),
-		ownerOf:       make([]uint16, nframes),
-		owners:        []Owner{0},
-		ownerIdx:      make(map[Owner]uint16),
-		cntResOwn:     make([][MaxOrder + 1]int32, 1),
-		allocatedFrom: make(map[Owner]map[blockKey]struct{}),
+		capacity:  capacity,
+		nframes:   nframes,
+		chunks:    make([]*frameChunk, (nframes+chunkFrames-1)>>chunkShift),
+		ownerIdx:  make(map[Owner]uint16),
+		cntResOwn: make([][MaxOrder + 1]int32, 1),
+		allocOwn:  make([]int32, 1),
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		nbits := (nframes + OrderBytes(o)>>FrameShift - 1) >> uint(o)
@@ -176,6 +180,41 @@ func (b *Buddy) FreeBytes() uint64 { return b.freeBytes }
 // ReservedBytes returns the free bytes currently reserved for some VB.
 func (b *Buddy) ReservedBytes() uint64 { return b.reservedBytes }
 
+// chunk returns the records of the chunk holding frame fi, allocating
+// them on first write.
+//
+//vbi:hotpath
+func (b *Buddy) chunk(fi uint64) *frameChunk {
+	c := b.chunks[fi>>chunkShift]
+	if c == nil {
+		//vbi:allow hotalloc once per 16 MB of pool a block first starts in; later writes reuse it
+		c = new(frameChunk)
+		b.chunks[fi>>chunkShift] = c
+	}
+	return c
+}
+
+// metaAt returns the block record of frame fi; 0 means no live block
+// starts there.
+//
+//vbi:hotpath
+func (b *Buddy) metaAt(fi uint64) uint8 {
+	if c := b.chunks[fi>>chunkShift]; c != nil {
+		return c.meta[fi&(chunkFrames-1)]
+	}
+	return 0
+}
+
+// ownerAt returns the owner index of the block starting at frame fi.
+//
+//vbi:hotpath
+func (b *Buddy) ownerAt(fi uint64) uint16 {
+	if c := b.chunks[fi>>chunkShift]; c != nil {
+		return c.owner[fi&(chunkFrames-1)]
+	}
+	return 0
+}
+
 // internOwner maps an owner to its stable small index, assigning one on
 // first sight. The zero owner is index 0 by construction.
 func (b *Buddy) internOwner(o Owner) uint16 {
@@ -185,22 +224,23 @@ func (b *Buddy) internOwner(o Owner) uint16 {
 	if i, ok := b.ownerIdx[o]; ok {
 		return i
 	}
-	if len(b.owners) > 0xfffe {
+	if len(b.allocOwn) > 0xfffe {
 		panic("phys: too many distinct reservation owners")
 	}
-	i := uint16(len(b.owners))
-	b.owners = append(b.owners, o)
+	i := uint16(len(b.allocOwn))
 	b.ownerIdx[o] = i
 	b.cntResOwn = append(b.cntResOwn, [MaxOrder + 1]int32{})
+	b.allocOwn = append(b.allocOwn, 0)
 	return i
 }
 
+// addFree adds the free block (base, order) for owner index oi.
+//
 //vbi:hotpath
-func (b *Buddy) addFree(base Addr, order int, owner Owner) {
+func (b *Buddy) addFree(base Addr, order int, oi uint16) {
 	fi := uint64(base) >> FrameShift
-	b.meta[fi] = metaLive | metaFree | uint8(order)
-	oi := b.internOwner(owner)
-	b.ownerOf[fi] = oi
+	c, i := b.chunk(fi), fi&(chunkFrames-1)
+	c.meta[i], c.owner[i] = metaLive|metaFree|uint8(order), oi
 	bi := int(fi >> uint(order))
 	if oi == 0 {
 		b.freeUnres[order].set(bi)
@@ -226,8 +266,9 @@ func (b *Buddy) addFree(base Addr, order int, owner Owner) {
 //vbi:hotpath
 func (b *Buddy) removeFree(base Addr, order int) {
 	fi := uint64(base) >> FrameShift
-	oi := b.ownerOf[fi]
-	b.meta[fi] = 0
+	c := b.chunk(fi)
+	oi := c.owner[fi&(chunkFrames-1)]
+	c.meta[fi&(chunkFrames-1)] = 0
 	bi := int(fi >> uint(order))
 	if oi == 0 {
 		b.freeUnres[order].clear(bi)
@@ -238,21 +279,6 @@ func (b *Buddy) removeFree(base Addr, order int) {
 		b.cntResOwn[oi][order]--
 		b.reservedBytes -= OrderBytes(order)
 	}
-}
-
-// splitTo repeatedly halves the free block (base, from, owner) until an
-// order-"to" block is available, re-tagging all pieces with the same owner.
-// It returns the base of the order-"to" block (always == base).
-//
-//vbi:hotpath
-func (b *Buddy) splitTo(base Addr, from, to int, owner Owner) Addr {
-	b.removeFree(base, from)
-	for o := from; o > to; o-- {
-		half := OrderBytes(o - 1)
-		b.addFree(base+Addr(half), o-1, owner)
-	}
-	b.addFree(base, to, owner)
-	return base
 }
 
 // takeFreeUnres finds an unreserved free block of order >= want and splits
@@ -269,7 +295,8 @@ func (b *Buddy) takeFreeUnres(want int) (Addr, bool) {
 		bi := b.freeUnres[o].nextSet(b.hintUnres[o])
 		b.hintUnres[o] = bi
 		base := Addr(uint64(bi) << uint(FrameShift+o))
-		return b.splitTo(base, o, want, 0), true
+		b.splitToAt(base, o, base, want, 0)
+		return base, true
 	}
 	return NoAddr, false
 }
@@ -285,7 +312,7 @@ func (b *Buddy) firstRes(order int, target uint16, equal bool) (Addr, uint16, bo
 		b.hintRes[order] = bi
 	}
 	for bi >= 0 {
-		oi := b.ownerOf[uint64(bi)<<uint(order)]
+		oi := b.ownerAt(uint64(bi) << uint(order))
 		if (oi == target) == equal {
 			return Addr(uint64(bi) << uint(FrameShift+order)), oi, true
 		}
@@ -294,43 +321,37 @@ func (b *Buddy) firstRes(order int, target uint16, equal bool) (Addr, uint16, bo
 	return NoAddr, 0, false
 }
 
-// takeFreeOwned finds a free block reserved for owner of order >= want.
-func (b *Buddy) takeFreeOwned(owner Owner, want int) (Addr, bool) {
-	oi, ok := b.ownerIdx[owner]
-	if !ok {
-		return NoAddr, false
+// takeFreeOwned finds a free block of order >= want reserved for owner
+// index oi.
+func (b *Buddy) takeFreeOwned(oi uint16, want int) (Addr, bool) {
+	if oi == 0 {
+		return NoAddr, false // index 0 holds no reserved blocks
 	}
 	for o := want; o <= MaxOrder; o++ {
 		if b.cntResOwn[oi][o] == 0 {
 			continue
 		}
 		if base, _, ok := b.firstRes(o, oi, true); ok {
-			return b.splitTo(base, o, want, owner), true
+			b.splitToAt(base, o, base, want, oi)
+			return base, true
 		}
 	}
 	return NoAddr, false
 }
 
-// takeFreeStolen finds a free block reserved for any owner other than self.
-func (b *Buddy) takeFreeStolen(self Owner, want int) (Addr, Owner, bool) {
-	selfIdx := uint16(0)
-	if i, ok := b.ownerIdx[self]; ok {
-		selfIdx = i
-	}
+// takeFreeStolen finds a free block reserved for any owner index other
+// than selfIdx.
+func (b *Buddy) takeFreeStolen(selfIdx uint16, want int) (Addr, bool) {
 	for o := want; o <= MaxOrder; o++ {
-		own := int32(0)
-		if selfIdx != 0 {
-			own = b.cntResOwn[selfIdx][o]
-		}
-		if int32(b.cntRes[o])-own <= 0 {
+		if int32(b.cntRes[o])-b.cntResOwn[selfIdx][o] <= 0 {
 			continue
 		}
 		if base, oi, ok := b.firstRes(o, selfIdx, false); ok {
-			owner := b.owners[oi]
-			return b.splitTo(base, o, want, owner), owner, true
+			b.splitToAt(base, o, base, want, oi)
+			return base, true
 		}
 	}
-	return NoAddr, 0, false
+	return NoAddr, false
 }
 
 // Alloc allocates an order-sized block for VB vb using the three-level
@@ -342,40 +363,35 @@ func (b *Buddy) Alloc(vb Owner, order int) (Addr, bool) {
 	if order < 0 || order > MaxOrder {
 		return NoAddr, false
 	}
+	oi := b.ownerIdx[vb] // 0 if vb never reserved
 	// Priority 1: free blocks reserved for this VB.
-	if base, ok := b.takeFreeOwned(vb, order); ok {
-		b.markAllocated(base, order, vb)
-		return base, true
+	base, ok := b.takeFreeOwned(oi, order)
+	if !ok {
+		// Priority 2: unreserved free blocks.
+		base, ok = b.takeFreeUnres(order)
 	}
-	// Priority 2: unreserved free blocks.
-	if base, ok := b.takeFreeUnres(order); ok {
-		b.markAllocated(base, order, 0)
-		return base, true
+	if !ok {
+		// Priority 3: steal from another VB's reservation.
+		base, ok = b.takeFreeStolen(oi, order)
 	}
-	// Priority 3: steal from another VB's reservation.
-	if base, owner, ok := b.takeFreeStolen(vb, order); ok {
-		b.markAllocated(base, order, owner)
-		return base, true
+	if ok {
+		b.markAllocated(base, order)
 	}
-	return NoAddr, false
+	return base, ok
 }
 
+// markAllocated turns the free block (base, order) into an allocated one.
+// The block keeps the owner index it was free under: the reservation it
+// was carved from, which a later Free returns it to.
+//
 //vbi:hotpath
-func (b *Buddy) markAllocated(base Addr, order int, reservedOwner Owner) {
+func (b *Buddy) markAllocated(base Addr, order int) {
 	b.removeFree(base, order)
 	fi := uint64(base) >> FrameShift
-	b.meta[fi] = metaLive | uint8(order)
-	b.ownerOf[fi] = b.internOwner(reservedOwner)
+	c, i := b.chunk(fi), fi&(chunkFrames-1)
+	c.meta[i] = metaLive | uint8(order)
+	b.allocOwn[c.owner[i]]++
 	b.freeBytes -= OrderBytes(order)
-	if reservedOwner != 0 {
-		m := b.allocatedFrom[reservedOwner]
-		if m == nil {
-			//vbi:allow hotalloc one map per owner with live reservation-backed allocations; owners are few and the map is reused for the owner's lifetime
-			m = make(map[blockKey]struct{})
-			b.allocatedFrom[reservedOwner] = m
-		}
-		m[blockKey{base, order}] = struct{}{}
-	}
 }
 
 // AllocAt allocates the specific order-sized block at base for vb, if that
@@ -398,39 +414,38 @@ func (b *Buddy) AllocAt(vb Owner, base Addr, order int) bool {
 	for o := order; o <= MaxOrder; o++ {
 		enclosing := base &^ Addr(OrderBytes(o)-1)
 		fi := uint64(enclosing) >> FrameShift
-		m := b.meta[fi]
+		m := b.metaAt(fi)
 		if m&metaLive == 0 || int(m&metaOrder) != o {
 			continue
 		}
 		if m&metaFree == 0 {
 			return false // region (or part of it) already allocated
 		}
-		owner := b.owners[b.ownerOf[fi]]
-		b.splitToAt(enclosing, o, base, order, owner)
-		b.markAllocated(base, order, owner)
+		b.splitToAt(enclosing, o, base, order, b.ownerAt(fi))
+		b.markAllocated(base, order)
 		return true
 	}
 	return false
 }
 
-// splitToAt splits the free block (blockBase, from, owner) down to an
-// order-"to" block at exactly target, keeping every split-off sibling free
-// with the same owner.
+// splitToAt splits the free block (blockBase, from) of owner index oi down
+// to an order-"to" block at exactly target, keeping every split-off sibling
+// free with the same owner.
 //
 //vbi:hotpath
-func (b *Buddy) splitToAt(blockBase Addr, from int, target Addr, to int, owner Owner) {
+func (b *Buddy) splitToAt(blockBase Addr, from int, target Addr, to int, oi uint16) {
 	b.removeFree(blockBase, from)
 	cur := blockBase
 	for o := from; o > to; o-- {
 		half := Addr(OrderBytes(o - 1))
 		if target >= cur+half {
-			b.addFree(cur, o-1, owner) // target in upper half; lower stays free
+			b.addFree(cur, o-1, oi) // target in upper half; lower stays free
 			cur += half
 		} else {
-			b.addFree(cur+half, o-1, owner)
+			b.addFree(cur+half, o-1, oi)
 		}
 	}
-	b.addFree(cur, to, owner)
+	b.addFree(cur, to, oi)
 }
 
 // Reserve carves an order-sized contiguous region out of *unreserved* free
@@ -447,7 +462,7 @@ func (b *Buddy) Reserve(vb Owner, order int) (Addr, bool) {
 	}
 	// Retag the block as reserved-free for vb.
 	b.removeFree(base, order)
-	b.addFree(base, order, vb)
+	b.addFree(base, order, b.internOwner(vb))
 	return base, true
 }
 
@@ -460,40 +475,37 @@ func (b *Buddy) Free(base Addr, order int) {
 	fi := uint64(base) >> FrameShift
 	var m uint8
 	if order >= 0 && order <= MaxOrder && fi < b.nframes {
-		m = b.meta[fi]
+		m = b.metaAt(fi)
 	}
 	if m&metaLive == 0 || int(m&metaOrder) != order || m&metaFree != 0 {
 		//vbi:allow hotalloc panic formatting on a caller bug, never reached by a correct simulation
 		panic(fmt.Sprintf("phys: Free of non-allocated block %v order %d", base, order))
 	}
-	owner := b.owners[b.ownerOf[fi]]
-	b.meta[fi] = 0
-	if owner != 0 {
-		k := blockKey{base, order}
-		if am := b.allocatedFrom[owner]; am != nil {
-			delete(am, k)
-			if len(am) == 0 {
-				delete(b.allocatedFrom, owner)
-			}
-		}
-	}
+	c := b.chunk(fi)
+	oi := c.owner[fi&(chunkFrames-1)]
+	c.meta[fi&(chunkFrames-1)] = 0
+	b.allocOwn[oi]--
 	b.freeBytes += OrderBytes(order)
-	b.freeAndMerge(base, order, owner)
+	b.freeAndMerge(base, order, oi)
 }
 
+// freeAndMerge adds the free block (base, order) of owner index oi, first
+// merging it with same-owner free buddies, and returns the block it ended
+// up in.
+//
 //vbi:hotpath
-func (b *Buddy) freeAndMerge(base Addr, order int, owner Owner) {
+func (b *Buddy) freeAndMerge(base Addr, order int, oi uint16) (Addr, int) {
 	for order < MaxOrder {
 		buddy := base ^ Addr(OrderBytes(order))
 		bfi := uint64(buddy) >> FrameShift
 		if bfi >= b.nframes {
 			break
 		}
-		m := b.meta[bfi]
+		m := b.metaAt(bfi)
 		if m&metaLive == 0 || m&metaFree == 0 || int(m&metaOrder) != order {
 			break
 		}
-		if b.owners[b.ownerOf[bfi]] != owner {
+		if b.ownerAt(bfi) != oi {
 			break
 		}
 		b.removeFree(buddy, order)
@@ -502,44 +514,40 @@ func (b *Buddy) freeAndMerge(base Addr, order int, owner Owner) {
 		}
 		order++
 	}
-	b.addFree(base, order, owner)
+	b.addFree(base, order, oi)
+	return base, order
 }
 
 // Unreserve releases vb's reservation: its remaining reserved-free blocks
 // become unreserved free blocks, and blocks still allocated out of the
 // reservation are retagged so that freeing them later returns them to the
-// unreserved pool.
+// unreserved pool. One pass steps block by block up from frame 0 (the
+// blocks tile the pool) and stops once the per-owner counts say no block
+// of vb's is left; ascending order keeps the merging reproducible.
 func (b *Buddy) Unreserve(vb Owner) {
-	if oi, ok := b.ownerIdx[vb]; ok {
-		type fb struct {
-			base  Addr
-			order int
-		}
-		var blocks []fb
-		for o := 0; o <= MaxOrder; o++ {
-			if b.cntResOwn[oi][o] == 0 {
-				continue
-			}
-			bs := b.freeRes[o]
-			for bi := bs.nextSet(b.hintRes[o]); bi >= 0; bi = bs.nextSet(bi + 1) {
-				if b.ownerOf[uint64(bi)<<uint(o)] == oi {
-					blocks = append(blocks, fb{Addr(uint64(bi) << uint(FrameShift+o)), o})
-				}
-			}
-		}
-		// Deterministic order for reproducible merging.
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i].base < blocks[j].base })
-		for _, blk := range blocks {
-			b.removeFree(blk.base, blk.order)
-			b.freeAndMerge(blk.base, blk.order, 0)
-		}
+	oi, ok := b.ownerIdx[vb]
+	if !ok {
+		return
 	}
-	if m := b.allocatedFrom[vb]; m != nil {
-		//vbi:allow maporder retagging each block's owner independently; no state read depends on visit order
-		for k := range m {
-			b.ownerOf[uint64(k.base)>>FrameShift] = 0
+	left := b.allocOwn[oi]
+	for _, n := range b.cntResOwn[oi] {
+		left += n
+	}
+	for fi := uint64(0); left > 0; {
+		m, base := b.metaAt(fi), Addr(fi<<FrameShift)
+		order := int(m & metaOrder)
+		if b.ownerAt(fi) == oi {
+			left--
+			if m&metaFree == 0 {
+				b.chunk(fi).owner[fi&(chunkFrames-1)] = 0
+				b.allocOwn[oi]--
+				b.allocOwn[0]++
+			} else {
+				b.removeFree(base, order)
+				base, order = b.freeAndMerge(base, order, 0)
+			}
 		}
-		delete(b.allocatedFrom, vb)
+		fi = uint64(base)>>FrameShift + 1<<order
 	}
 }
 
@@ -548,19 +556,9 @@ func (b *Buddy) Unreserve(vb Owner) {
 // block Alloc(vb, order) would currently succeed for), or -1 when nothing
 // is free.
 func (b *Buddy) LargestFreeOrder(vb Owner) int {
-	vbIdx, hasIdx := b.ownerIdx[vb]
 	for o := MaxOrder; o >= 0; o-- {
-		if b.cntUnres[o] > 0 {
-			return o
-		}
-		own := int32(0)
-		if hasIdx {
-			own = b.cntResOwn[vbIdx][o]
-		}
-		if own > 0 {
-			return o
-		}
-		if int32(b.cntRes[o])-own > 0 {
+		// Priorities 1 and 3 together can use any reserved block.
+		if b.cntUnres[o] > 0 || b.cntRes[o] > 0 {
 			return o
 		}
 	}
@@ -583,39 +581,49 @@ func (b *Buddy) LargestUnreservedOrder() int {
 func (b *Buddy) CheckInvariants() error {
 	var free, reserved, total uint64
 	var cntUnres, cntRes [MaxOrder + 1]int
-	prevEnd := uint64(0)
-	for fi := uint64(0); fi < b.nframes; fi++ {
-		m := b.meta[fi]
+	allocOwn := make([]int32, len(b.allocOwn))
+	// The blocks must tile the pool: each starts where the previous ends.
+	blocks := 0
+	for fi := uint64(0); fi < b.capacity>>FrameShift; blocks++ {
+		m, oi, base := b.metaAt(fi), b.ownerAt(fi), Addr(fi<<FrameShift)
 		if m&metaLive == 0 {
-			continue
+			return fmt.Errorf("no block starts at %v, the end of the previous one", base)
 		}
 		o := int(m & metaOrder)
-		base := fi << FrameShift
 		size := OrderBytes(o)
-		if base%size != 0 {
-			return fmt.Errorf("block %v order %d misaligned", Addr(base), o)
+		if uint64(base)%size != 0 {
+			return fmt.Errorf("block %v order %d misaligned", base, o)
 		}
-		if base < prevEnd {
-			return fmt.Errorf("blocks overlap at %v", Addr(base))
-		}
-		prevEnd = base + size
 		total += size
-		if m&metaFree != 0 {
-			bi := int(fi >> uint(o))
-			free += size
-			if b.ownerOf[fi] == 0 {
-				cntUnres[o]++
-				if b.freeUnres[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
-					return fmt.Errorf("free block %v order %d missing from unreserved bitmap", Addr(base), o)
-				}
-			} else {
-				cntRes[o]++
-				reserved += size
-				if b.freeRes[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
-					return fmt.Errorf("free block %v order %d missing from reserved bitmap", Addr(base), o)
-				}
+		fi += 1 << o
+		if m&metaFree == 0 {
+			allocOwn[oi]++
+			continue
+		}
+		bi := int(uint64(base) >> (FrameShift + o))
+		free += size
+		if oi == 0 {
+			cntUnres[o]++
+			if b.freeUnres[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
+				return fmt.Errorf("free block %v order %d missing from unreserved bitmap", base, o)
+			}
+		} else {
+			cntRes[o]++
+			reserved += size
+			if b.freeRes[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
+				return fmt.Errorf("free block %v order %d missing from reserved bitmap", base, o)
 			}
 		}
+	}
+	// Any other live record would be a block overlapping one of those.
+	live := 0
+	for _, c := range b.chunks {
+		for i := 0; c != nil && i < chunkFrames; i += 8 {
+			live += bits.OnesCount64(binary.LittleEndian.Uint64(c.meta[i:]) & 0x8080808080808080)
+		}
+	}
+	if live != blocks {
+		return fmt.Errorf("%d live block records, but %d blocks tile the pool", live, blocks)
 	}
 	if free != b.freeBytes {
 		return fmt.Errorf("freeBytes %d, blocks sum to %d", b.freeBytes, free)
@@ -630,6 +638,11 @@ func (b *Buddy) CheckInvariants() error {
 		if cntUnres[o] != b.cntUnres[o] || cntRes[o] != b.cntRes[o] {
 			return fmt.Errorf("order %d free counts (%d unres, %d res) disagree with blocks (%d, %d)",
 				o, b.cntUnres[o], b.cntRes[o], cntUnres[o], cntRes[o])
+		}
+	}
+	for oi, n := range allocOwn {
+		if n != b.allocOwn[oi] {
+			return fmt.Errorf("owner index %d has %d allocated blocks, count says %d", oi, n, b.allocOwn[oi])
 		}
 	}
 	return nil

@@ -362,3 +362,116 @@ func TestBuddyAllocAtUnreservedRegion(t *testing.T) {
 		t.Fatalf("did not coalesce: %d", got)
 	}
 }
+
+// TestBuddyUnreserveAcrossChunks unreserves a reservation that spans two
+// chunks of per-frame records, with live allocations in both and on either
+// side of the boundary between them. Every later Free must rejoin the
+// unreserved pool, and the pool must coalesce back to its full order.
+func TestBuddyUnreserveAcrossChunks(t *testing.T) {
+	b := NewBuddy(4 * chunkFrames * FrameSize) // 64 MB, one order-14 block
+	x := vb(1)
+	base, ok := b.Reserve(x, 13) // 32 MB: frames 0 to 8191, two chunks
+	if !ok {
+		t.Fatal("reserve failed")
+	}
+	var live []Addr
+	for _, f := range []uint64{5, chunkFrames - 1, chunkFrames, 2*chunkFrames - 1} {
+		at := base + Addr(f*FrameSize)
+		if !b.AllocAt(x, at, 0) {
+			t.Fatalf("AllocAt frame %d failed", f)
+		}
+		live = append(live, at)
+	}
+	a, ok := b.Alloc(x, 2)
+	if !ok {
+		t.Fatal("alloc failed")
+	}
+	b.Unreserve(x)
+	if b.ReservedBytes() != 0 {
+		t.Fatalf("ReservedBytes = %d after Unreserve", b.ReservedBytes())
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	b.Free(a, 2)
+	for _, at := range live {
+		b.Free(at, 0)
+		if b.ReservedBytes() != 0 {
+			t.Fatalf("Free(%v) rejoined a released reservation: ReservedBytes = %d", at, b.ReservedBytes())
+		}
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.FreeBytes() != b.Capacity() {
+		t.Fatalf("FreeBytes = %d, want %d", b.FreeBytes(), b.Capacity())
+	}
+	if got := b.LargestUnreservedOrder(); got != 14 {
+		t.Fatalf("pool did not re-coalesce: largest order %d, want 14", got)
+	}
+}
+
+// TestBuddyPartialLastChunk covers a capacity whose last chunk of records
+// is only partly inside the pool.
+func TestBuddyPartialLastChunk(t *testing.T) {
+	const nframes = 2*chunkFrames + 1000
+	b := NewBuddy(nframes * FrameSize)
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	last := Addr((nframes - 1) * FrameSize)
+	if !b.AllocAt(vb(1), last, 0) {
+		t.Fatal("AllocAt of the last frame failed")
+	}
+	if b.AllocAt(vb(1), last+FrameSize, 0) {
+		t.Fatal("AllocAt past the end of the pool succeeded")
+	}
+	res, ok := b.Reserve(vb(2), 9) // 512 frames: must come from the tail
+	if !ok || uint64(res)>>FrameShift < 2*chunkFrames {
+		t.Fatalf("Reserve = %v,%v, want a block in the last chunk", res, ok)
+	}
+	a, ok := b.Alloc(vb(2), 0)
+	if !ok || a != res {
+		t.Fatalf("Alloc = %v,%v, want the reservation's first frame %v", a, ok, res)
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	b.Unreserve(vb(2))
+	b.Free(a, 0)
+	b.Free(last, 0)
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if b.FreeBytes() != nframes*FrameSize || b.ReservedBytes() != 0 {
+		t.Fatalf("FreeBytes = %d, ReservedBytes = %d", b.FreeBytes(), b.ReservedBytes())
+	}
+	if got := b.LargestUnreservedOrder(); got != 13 {
+		t.Fatalf("largest order = %d, want 13", got)
+	}
+}
+
+// TestBuddyRecordsMaterializeOnWrite checks that a large pool allocates
+// records only for the chunks its blocks start in.
+func TestBuddyRecordsMaterializeOnWrite(t *testing.T) {
+	b := NewBuddy(16 << 30) // one order-22 block
+	materialized := func() (n int) {
+		for _, c := range b.chunks {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if got := materialized(); got != 1 {
+		t.Fatalf("fresh 16 GB pool has %d chunks of records, want 1", got)
+	}
+	// A 128 MB reservation splits the pool once per order from 21 down to
+	// 15, each split starting a block in a new chunk.
+	if _, ok := b.Reserve(vb(1), 15); !ok {
+		t.Fatal("reserve failed")
+	}
+	if got := materialized(); got != 8 {
+		t.Fatalf("after one reservation: %d chunks of records, want 8", got)
+	}
+}
