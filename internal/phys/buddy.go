@@ -1,7 +1,6 @@
 package phys
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -130,6 +129,10 @@ type Buddy struct {
 	// owner index oi (index 0: blocks from no reservation), so Unreserve
 	// knows when its scan has retagged them all.
 	allocOwn []int32
+	// resLow[oi] is the lowest frame Reserve has handed to owner index oi
+	// since its last Unreserve (^uint64(0) when none). Every block that
+	// carries oi lies inside those reservations, so Unreserve starts there.
+	resLow []uint64
 
 	freeBytes     uint64
 	reservedBytes uint64 // subset of freeBytes that is reserved
@@ -148,6 +151,7 @@ func NewBuddy(capacity uint64) *Buddy {
 		ownerIdx:  make(map[Owner]uint16),
 		cntResOwn: make([][MaxOrder + 1]int32, 1),
 		allocOwn:  make([]int32, 1),
+		resLow:    []uint64{^uint64(0)},
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		nbits := (nframes + OrderBytes(o)>>FrameShift - 1) >> uint(o)
@@ -231,6 +235,7 @@ func (b *Buddy) internOwner(o Owner) uint16 {
 	b.ownerIdx[o] = i
 	b.cntResOwn = append(b.cntResOwn, [MaxOrder + 1]int32{})
 	b.allocOwn = append(b.allocOwn, 0)
+	b.resLow = append(b.resLow, ^uint64(0))
 	return i
 }
 
@@ -461,8 +466,10 @@ func (b *Buddy) Reserve(vb Owner, order int) (Addr, bool) {
 		return NoAddr, false
 	}
 	// Retag the block as reserved-free for vb.
+	oi := b.internOwner(vb)
 	b.removeFree(base, order)
-	b.addFree(base, order, b.internOwner(vb))
+	b.addFree(base, order, oi)
+	b.resLow[oi] = min(b.resLow[oi], uint64(base)>>FrameShift)
 	return base, true
 }
 
@@ -521,9 +528,10 @@ func (b *Buddy) freeAndMerge(base Addr, order int, oi uint16) (Addr, int) {
 // Unreserve releases vb's reservation: its remaining reserved-free blocks
 // become unreserved free blocks, and blocks still allocated out of the
 // reservation are retagged so that freeing them later returns them to the
-// unreserved pool. One pass steps block by block up from frame 0 (the
-// blocks tile the pool) and stops once the per-owner counts say no block
-// of vb's is left; ascending order keeps the merging reproducible.
+// unreserved pool. One pass steps block by block (the blocks tile the
+// pool) up from vb's lowest reserved frame and stops once the per-owner
+// counts say no block of vb's is left; ascending order keeps the merging
+// reproducible.
 func (b *Buddy) Unreserve(vb Owner) {
 	oi, ok := b.ownerIdx[vb]
 	if !ok {
@@ -533,7 +541,7 @@ func (b *Buddy) Unreserve(vb Owner) {
 	for _, n := range b.cntResOwn[oi] {
 		left += n
 	}
-	for fi := uint64(0); left > 0; {
+	for fi := b.resLow[oi]; left > 0; {
 		m, base := b.metaAt(fi), Addr(fi<<FrameShift)
 		order := int(m & metaOrder)
 		if b.ownerAt(fi) == oi {
@@ -549,6 +557,7 @@ func (b *Buddy) Unreserve(vb Owner) {
 		}
 		fi = uint64(base)>>FrameShift + 1<<order
 	}
+	b.resLow[oi] = ^uint64(0)
 }
 
 // LargestFreeOrder returns the order of the largest allocatable contiguous
@@ -582,6 +591,7 @@ func (b *Buddy) CheckInvariants() error {
 	var free, reserved, total uint64
 	var cntUnres, cntRes [MaxOrder + 1]int
 	allocOwn := make([]int32, len(b.allocOwn))
+	hasBlock := make([]bool, len(b.resLow))
 	// The blocks must tile the pool: each starts where the previous ends.
 	blocks := 0
 	for fi := uint64(0); fi < b.capacity>>FrameShift; blocks++ {
@@ -594,6 +604,10 @@ func (b *Buddy) CheckInvariants() error {
 		if uint64(base)%size != 0 {
 			return fmt.Errorf("block %v order %d misaligned", base, o)
 		}
+		if oi != 0 && fi < b.resLow[oi] {
+			return fmt.Errorf("block %v of owner index %d lies below its lowest reserved frame %d", base, oi, b.resLow[oi])
+		}
+		hasBlock[oi] = true
 		total += size
 		fi += 1 << o
 		if m&metaFree == 0 {
@@ -618,8 +632,13 @@ func (b *Buddy) CheckInvariants() error {
 	// Any other live record would be a block overlapping one of those.
 	live := 0
 	for _, c := range b.chunks {
-		for i := 0; c != nil && i < chunkFrames; i += 8 {
-			live += bits.OnesCount64(binary.LittleEndian.Uint64(c.meta[i:]) & 0x8080808080808080)
+		if c == nil {
+			continue
+		}
+		for _, m := range c.meta {
+			if m&metaLive != 0 {
+				live++
+			}
 		}
 	}
 	if live != blocks {
@@ -643,6 +662,9 @@ func (b *Buddy) CheckInvariants() error {
 	for oi, n := range allocOwn {
 		if n != b.allocOwn[oi] {
 			return fmt.Errorf("owner index %d has %d allocated blocks, count says %d", oi, n, b.allocOwn[oi])
+		}
+		if oi != 0 && hasBlock[oi] != (b.resLow[oi] != ^uint64(0)) {
+			return fmt.Errorf("owner index %d: has blocks %v, but lowest reserved frame is %d", oi, hasBlock[oi], b.resLow[oi])
 		}
 	}
 	return nil
