@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vbi/internal/trace"
 	"vbi/internal/workloads"
 )
 
@@ -14,8 +15,13 @@ import (
 // migration epoch.
 const goldenRefs = 20_000
 
-// goldenResults runs every registered kind plus one hetero machine and
-// returns the RunResult list in deterministic order.
+// goldenMulticoreRefs is the per-core reference count of the quad-core
+// entries: enough for shared-LLC evictions to back-invalidate peer lines.
+const goldenMulticoreRefs = 5_000
+
+// goldenResults runs every registered kind, one hetero machine and the
+// Table 2 bundles wl3 and wl6 on Native, Virtual and VBI-Full quad-core
+// machines, and returns the RunResult list in deterministic order.
 func goldenResults(t *testing.T) []RunResult {
 	t.Helper()
 	prof := workloads.MustGet("mcf")
@@ -42,11 +48,29 @@ func goldenResults(t *testing.T) []RunResult {
 		t.Fatalf("hetero: %v", err)
 	}
 	out = append(out, res)
+	for _, bundle := range []string{"wl3", "wl6"} {
+		var profs []trace.Profile
+		for _, name := range workloads.Bundles[bundle] {
+			profs = append(profs, workloads.MustGet(name))
+		}
+		for _, kind := range []Kind{Native, Virtual, VBIFull} {
+			m, err := NewMulticore(Config{Kind: kind, Refs: goldenMulticoreRefs}, profs)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bundle, kind, err)
+			}
+			rs, err := m.Run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bundle, kind, err)
+			}
+			out = append(out, rs...)
+		}
+	}
 	return out
 }
 
 // TestGoldenRunResults pins the simulated results of all ten registered
-// kinds plus a hetero migration run byte-for-byte against the committed
+// kinds, a hetero migration run and six quad-core bundle runs
+// byte-for-byte against the committed
 // goldens. The goldens were generated on the pre-map-free probe paths, so
 // this test IS the old-vs-new byte-identity proof for the hot-loop
 // rewrite: any change to LRU tick order, eviction choice, writeback
@@ -58,7 +82,7 @@ func goldenResults(t *testing.T) []RunResult {
 //	VBI_GOLDEN_REGEN=1 go test -run TestGoldenRunResults ./internal/system
 func TestGoldenRunResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("byte-identity matrix runs all eleven machines; skipped in -short")
+		t.Skip("byte-identity matrix runs seventeen machines; skipped in -short")
 	}
 	path := filepath.Join("testdata", "golden_runresults.json")
 	got, err := json.MarshalIndent(goldenResults(t), "", " ")
