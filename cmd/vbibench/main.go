@@ -48,19 +48,18 @@ func main() {
 		version  = flag.Bool("version", false, "print protocol and harness versions, then exit")
 	)
 	var (
-		which     = flag.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, fig10, dram, ablation, cvt or all")
-		refs      = flag.Int("refs", 400_000, "measured references per run")
-		seed      = flag.Uint64("seed", 1, "trace seed")
-		out       = flag.String("out", "", "also write results to this file")
-		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cache     = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		jobShards = flag.Int("job-shards", 0, "decompose each job into this many intra-job shards; figure bytes stay identical")
-		remote    = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards every figure's batch across them")
-		fleet     = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
-		authTok   = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
-		jsonOut   = flag.String("json", "", "write figure tables as JSON to this file")
-		csvOut    = flag.String("csv", "", "write figure tables as CSV to this file")
-		verbose   = flag.Bool("v", false, "log every run")
+		which   = flag.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, fig10, dram, ablation, cvt or all")
+		refs    = flag.Int("refs", 400_000, "measured references per run")
+		seed    = flag.Uint64("seed", 1, "trace seed")
+		out     = flag.String("out", "", "also write results to this file")
+		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cache   = flag.String("cache", "", "result-cache directory (empty = no cache)")
+		remote  = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards every figure's batch across them")
+		fleet   = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
+		authTok = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
+		jsonOut = flag.String("json", "", "write figure tables as JSON to this file")
+		csvOut  = flag.String("csv", "", "write figure tables as CSV to this file")
+		verbose = flag.Bool("v", false, "log every run")
 	)
 	flag.Var(params, "param", "parameter override name=value applied to every run (repeatable; see vbisweep -list)")
 	tlsOpts.Flags(flag.CommandLine)
@@ -119,7 +118,7 @@ func main() {
 	}()
 
 	o := exp.Options{Refs: *refs, Seed: *seed, Workers: *workers, CacheDir: *cache,
-		Params: overlay, JobShards: *jobShards, Context: ctx}
+		Params: overlay, Context: ctx}
 	if *verbose {
 		o.Progress = os.Stderr
 	}

@@ -48,3 +48,32 @@ func BenchmarkCacheMarkDirty(b *testing.B) {
 		c.MarkDirty(0)
 	}
 }
+
+// BenchmarkHierarchySharedEvict drives four cores' views over one small
+// shared LLC. Each core reads and writes random lines of its own region;
+// the four regions together are twice the LLC's capacity, so most fills
+// evict an LLC line that another core still holds in its L1/L2 and must
+// back-invalidate, and many of those victims are dirty.
+func BenchmarkHierarchySharedEvict(b *testing.B) {
+	const cores = 4
+	const linesPerCore = 512 // 32 KB: the size of one L2 below
+	root := NewHierarchy(New("L1", 4<<10, 8), New("L2", 32<<10, 8), New("LLC", 64<<10, 16), DefaultLatencies)
+	views := []*Hierarchy{root}
+	for c := 1; c < cores; c++ {
+		views = append(views, root.ShareLLC(New("L1", 4<<10, 8), New("L2", 32<<10, 8)))
+	}
+	x := uint64(88172645463325252)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		c := i % cores
+		line := uint64(c*linesPerCore+int(x%linesPerCore)) * LineSize
+		write := x&(1<<32) != 0
+		if views[c].Access(line, write).MissedLLC {
+			views[c].Fill(line, write)
+		}
+	}
+}

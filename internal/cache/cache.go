@@ -84,13 +84,6 @@ func (c *Cache) setOf(line uint64) int {
 	return int((line >> LineShift) & c.setMask)
 }
 
-// sameSet reports whether two line addresses index the same set (used by
-// the sharded-run back-invalidation conflict check: an invalidation frees
-// a way, which changes victim selection for later inserts in that set).
-//
-//vbi:hotpath
-func (c *Cache) sameSet(a, b uint64) bool { return c.setOf(a) == c.setOf(b) }
-
 // probe returns the index of the line's way within the flattened array, or
 // -1. It is the one tag-match loop every probe shares and never allocates.
 //

@@ -84,17 +84,21 @@ func TestWorkerHandshake(t *testing.T) {
 }
 
 // TestWorkerRejectsStaleVersion asserts the per-request version gate: a
-// /run carrying a different harness version gets 412 and no results.
+// /run carrying a different harness version, or the current harness
+// version under an older wire revision, gets 412 and no results. wire4
+// coordinators could send slice jobs, which this worker would run whole.
 func TestWorkerRejectsStaleVersion(t *testing.T) {
 	srv := newWorkerServer(t, 1)
-	body, _ := json.Marshal(RunRequest{Version: "vbi-harness-v0", Jobs: testJobs(t)})
-	resp, err := http.Post(srv.URL+PathRun, "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusPreconditionFailed {
-		t.Fatalf("status = %s, want 412", resp.Status)
+	for _, version := range []string{"vbi-harness-v0", harness.Version + "+wire4"} {
+		body, _ := json.Marshal(RunRequest{Version: version, Jobs: testJobs(t)})
+		resp, err := http.Post(srv.URL+PathRun, "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusPreconditionFailed {
+			t.Fatalf("%s: status = %s, want 412", version, resp.Status)
+		}
 	}
 }
 

@@ -52,8 +52,11 @@ func VersionLine(tool string) string {
 // result payload changing by a byte; wire4 adds intra-job sharding to
 // the Job schema (Slice and Shards fields) — a wire3 worker would
 // silently drop the slice window and simulate the whole job, so the
-// bump makes stale fleets fail fast at handshake instead.
-const ProtocolVersion = harness.Version + "+wire4"
+// bump makes stale fleets fail fast at handshake instead; wire5 removes
+// intra-job sharding again (no Slice or Shards) — this worker would
+// silently run a wire4 coordinator's slice jobs whole, so wire4 peers
+// are refused at handshake too.
+const ProtocolVersion = harness.Version + "+wire5"
 
 // URL paths of the fleet protocol. PathHealthz and PathRun are served by
 // workers; PathRegister and PathLeave are served by the coordinator's

@@ -33,40 +33,6 @@ type Baseline struct {
 	TotalSeconds float64 `json:"total_seconds"`
 	// Systems reports each system's cost, ordered slowest first.
 	Systems []SystemBaseline `json:"systems"`
-	// IntraJob tracks intra-job scaling: one large single-core run
-	// executed serially and again decomposed into four time slices
-	// (vbibench -job-shards 4). Absent in baselines measured before the
-	// decomposition seam existed.
-	IntraJob *ShardBaseline `json:"intra_job,omitempty"`
-}
-
-// ShardBaseline is the sharded-throughput entry of the perf trajectory:
-// the same job, serial versus decomposed, in both slicing modes. Exact
-// slices replay the full measured prefix (DESIGN.md §10), so the last
-// slice costs as much as the whole serial run — exact sharding buys
-// byte-identity and batch overlap, never single-job wall clock, and on a
-// single-core host its total work (K·warmup + refs·(K+1)/2) makes
-// ExactSeconds larger than SerialSeconds. Approx slices warm up from a
-// seek instead, so their wall clock is what scales with cores.
-type ShardBaseline struct {
-	System   string `json:"system"`
-	Workload string `json:"workload"`
-	// Refs is this entry's measured reference count (larger than the
-	// matrix's: slicing pays off on long runs).
-	Refs   int `json:"refs"`
-	Shards int `json:"shards"`
-	// SerialSeconds, ExactSeconds and ApproxSeconds are wall clock for
-	// the whole job: undivided, -job-shards, -job-shards -shard-approx.
-	SerialSeconds float64 `json:"serial_seconds"`
-	ExactSeconds  float64 `json:"exact_seconds"`
-	ApproxSeconds float64 `json:"approx_seconds"`
-	// RefsPerSecond is the approx-sharded wall-clock throughput.
-	RefsPerSecond float64 `json:"refs_per_second"`
-	// Speedup is SerialSeconds / ApproxSeconds — bounded by the host's
-	// core count. A single-core host records < 1: machine construction,
-	// the generator seek and the cold warm-up are paid once per slice,
-	// and with no cores to overlap them the overhead is all that's left.
-	Speedup float64 `json:"speedup"`
 }
 
 // SystemBaseline is one system's simulation cost over the Figure 6 apps.
@@ -146,59 +112,7 @@ func BenchBaseline(o Options) (*Baseline, error) {
 		}
 		return b.Systems[i].System < b.Systems[j].System
 	})
-	sharded, err := benchIntraJob(o, runner)
-	if err != nil {
-		return nil, err
-	}
-	b.IntraJob = sharded
 	return b, nil
-}
-
-// benchIntraJob times one long VBI-Full run serially and again under
-// 4-way time slicing (both modes) on the same pool, producing the
-// sharded-throughput entry of the baseline.
-func benchIntraJob(o Options, runner *harness.Runner) (*ShardBaseline, error) {
-	const shards = 4
-	job := harness.Job{
-		Spec:      system.MustSpec(system.VBIFull.String()),
-		Workloads: []string{"mcf"},
-		Refs:      shards * o.Refs,
-		Seed:      o.Seed,
-	}
-	timeRun := func(exec harness.Executor) (float64, error) {
-		start := time.Now()
-		if _, err := exec.Run(o.ctx(), []harness.Job{job}); err != nil {
-			return 0, err
-		}
-		return time.Since(start).Seconds(), nil
-	}
-	serial, err := timeRun(runner)
-	if err != nil {
-		return nil, err
-	}
-	exact, err := timeRun(&harness.JobShards{Inner: runner, K: shards})
-	if err != nil {
-		return nil, err
-	}
-	approx, err := timeRun(&harness.JobShards{Inner: runner, K: shards, Approx: true})
-	if err != nil {
-		return nil, err
-	}
-
-	e := &ShardBaseline{
-		System:        job.Spec.Name,
-		Workload:      job.Workloads[0],
-		Refs:          job.Refs,
-		Shards:        shards,
-		SerialSeconds: serial,
-		ExactSeconds:  exact,
-		ApproxSeconds: approx,
-	}
-	if approx > 0 {
-		e.RefsPerSecond = float64(job.Refs) / approx
-		e.Speedup = serial / approx
-	}
-	return e, nil
 }
 
 // WriteJSON writes the baseline as an indented JSON document.

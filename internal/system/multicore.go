@@ -14,9 +14,6 @@ type Multicore struct {
 	cfg     Config
 	runners []coreRunner
 	names   []string
-	// profs is kept so RunSharded can rebuild a fresh machine for the
-	// serial fallback when a parallel run aborts.
-	profs []trace.Profile
 }
 
 // NewMulticore builds a machine with one core per profile.
@@ -32,7 +29,7 @@ func NewMulticore(cfg Config, profs []trace.Profile) (*Multicore, error) {
 	llc := cache.New("LLC", cfg.Params.LLCSize, cfg.Params.LLCWays)
 	ss := &sharedState{}
 
-	m := &Multicore{cfg: cfg, profs: profs}
+	m := &Multicore{cfg: cfg}
 	var rootHier *cache.Hierarchy
 	for i, prof := range profs {
 		var hier *cache.Hierarchy
@@ -48,25 +45,12 @@ func NewMulticore(cfg Config, profs []trace.Profile) (*Multicore, error) {
 			return nil, fmt.Errorf("core %d (%s): %w", i, prof.Name, err)
 		}
 		if i == 0 {
-			rootHier = hierOf(r)
+			rootHier = r.kit().hier
 		}
 		m.runners = append(m.runners, r)
 		m.names = append(m.names, prof.Name)
 	}
 	return m, nil
-}
-
-// hierOf extracts the hierarchy from a runner (all runners embed coreKit).
-func hierOf(r coreRunner) *cache.Hierarchy {
-	switch v := r.(type) {
-	case *convRunner:
-		return v.hier
-	case *vbiRunner:
-		return v.hier
-	case *enigmaRunner:
-		return v.hier
-	}
-	return nil
 }
 
 // Run interleaves the cores in time order (the core with the smallest
