@@ -233,3 +233,45 @@ func TestWorkerPprofGate(t *testing.T) {
 		t.Errorf("-pprof worker refuses /debug/pprof/cmdline: %s", resp.Status)
 	}
 }
+
+// metricHeaders returns an exposition's "# HELP" and "# TYPE" lines in
+// order: the family list, with help text and type, as scrapers see it.
+func metricHeaders(text string) []string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestWorkerMetricsFamilyOrder pins the worker exposition's family list
+// line for line, in TestWorkerMetricsDeterministic's setting: renaming,
+// retyping or reordering a family is a visible change to every scraper.
+func TestWorkerMetricsFamilyOrder(t *testing.T) {
+	srv := newWorkerServer(t, 2)
+	m := Member{ID: srv.URL, Base: srv.URL, Weight: 2}
+	if _, fatal, retry := ExecuteShard(context.Background(), http.DefaultClient, m, "",
+		time.Minute, testJobs(t), "t-test/1"); fatal != nil || retry != nil {
+		t.Fatalf("ExecuteShard: fatal=%v retry=%v", fatal, retry)
+	}
+	want := []string{
+		"# HELP vbiworker_in_flight_jobs Jobs currently executing on the local pool.",
+		"# TYPE vbiworker_in_flight_jobs gauge",
+		"# HELP vbiworker_shards_total Shard requests accepted since process start.",
+		"# TYPE vbiworker_shards_total counter",
+		"# HELP vbiworker_jobs_total Jobs completed since process start, by result source.",
+		"# TYPE vbiworker_jobs_total counter",
+		"# HELP vbiworker_phase_events_total Per-phase simulation events across completed jobs.",
+		"# TYPE vbiworker_phase_events_total counter",
+		"# HELP vbiworker_job_seconds Wall-clock seconds per simulated job (cache hits excluded).",
+		"# TYPE vbiworker_job_seconds histogram",
+		"# HELP vbiworker_job_seconds_quantile Estimated job-latency quantiles from the histogram.",
+		"# TYPE vbiworker_job_seconds_quantile gauge",
+	}
+	got := metricHeaders(scrape(t, srv.URL))
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("worker metric families:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

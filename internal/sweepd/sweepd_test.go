@@ -516,3 +516,69 @@ func TestAuthGate(t *testing.T) {
 		t.Errorf("authenticated /status = %s, want 200", resp.Status)
 	}
 }
+
+// TestMetricsFamilyOrder pins the daemon exposition's family list line
+// for line, in TestStatusAndMetrics's setting: renaming, retyping or
+// reordering a family is a visible change to every scraper.
+func TestMetricsFamilyOrder(t *testing.T) {
+	srv, front, _ := newTestServer(t, t.TempDir(), t.TempDir())
+	addWorker(t, srv, 2)
+	waitState(t, front.URL, submit(t, front.URL, "obs", testGrid()), StateDone)
+
+	resp, err := http.Get(front.URL + PathMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"# HELP sweepd_fleet_workers Live fleet members.",
+		"# TYPE sweepd_fleet_workers gauge",
+		"# HELP sweepd_fleet_workers_quarantined Registered members currently quarantined after failures.",
+		"# TYPE sweepd_fleet_workers_quarantined gauge",
+		"# HELP sweepd_sweeps Known sweeps by state.",
+		"# TYPE sweepd_sweeps gauge",
+		"# HELP sweepd_queue_depth_shards Pending shards per active sweep.",
+		"# TYPE sweepd_queue_depth_shards gauge",
+		"# HELP sweepd_jobs_queued Jobs not yet completed across active sweeps.",
+		"# TYPE sweepd_jobs_queued gauge",
+		"# HELP sweepd_jobs_in_flight Jobs currently dispatched to workers.",
+		"# TYPE sweepd_jobs_in_flight gauge",
+		"# HELP sweepd_sweep_jobs_per_second Remote job completion rate per active sweep.",
+		"# TYPE sweepd_sweep_jobs_per_second gauge",
+		"# HELP sweepd_sweep_eta_seconds Projected seconds to drain each active sweep at its current rate.",
+		"# TYPE sweepd_sweep_eta_seconds gauge",
+		"# HELP sweepd_sweeps_submitted_total Sweeps accepted since daemon start.",
+		"# TYPE sweepd_sweeps_submitted_total counter",
+		"# HELP sweepd_sweeps_completed_total Sweeps finished since daemon start.",
+		"# TYPE sweepd_sweeps_completed_total counter",
+		"# HELP sweepd_jobs_completed_total Jobs completed since daemon start.",
+		"# TYPE sweepd_jobs_completed_total counter",
+		"# HELP sweepd_jobs_cache_served_total Job completions served from the shared result cache.",
+		"# TYPE sweepd_jobs_cache_served_total counter",
+		"# HELP sweepd_shards_dispatched_total Shards sent to each worker.",
+		"# TYPE sweepd_shards_dispatched_total counter",
+		"# HELP sweepd_shards_completed_total Shards each worker completed (rate = shard throughput).",
+		"# TYPE sweepd_shards_completed_total counter",
+		"# HELP sweepd_shard_failures_total Failed shard requests per worker.",
+		"# TYPE sweepd_shard_failures_total counter",
+		"# HELP sweepd_shard_seconds_quantile Estimated shard round-trip latency quantiles per worker.",
+		"# TYPE sweepd_shard_seconds_quantile gauge",
+		"# HELP sweepd_cache_hits_total Result-cache hits in this daemon process.",
+		"# TYPE sweepd_cache_hits_total counter",
+		"# HELP sweepd_cache_misses_total Result-cache misses in this daemon process.",
+		"# TYPE sweepd_cache_misses_total counter",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("sweepd metric families:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
