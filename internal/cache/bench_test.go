@@ -15,6 +15,7 @@ func BenchmarkHierarchyL1Hit(b *testing.B) {
 	h := NewHierarchy(New("L1", 32<<10, 8), New("L2", 256<<10, 8), New("LLC", 8<<20, 16), DefaultLatencies)
 	h.Fill(0, false)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(0, false)
 	}
@@ -23,6 +24,7 @@ func BenchmarkHierarchyL1Hit(b *testing.B) {
 func BenchmarkHierarchyMissFill(b *testing.B) {
 	h := NewHierarchy(New("L1", 32<<10, 8), New("L2", 256<<10, 8), New("LLC", 8<<20, 16), DefaultLatencies)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := uint64(i) * 64
 		h.Access(line, false)

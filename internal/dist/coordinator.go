@@ -30,15 +30,17 @@ import (
 // failure or missed heartbeats — has its in-flight shards requeued for
 // the survivors.
 //
-// Scheduling is work-pulling: the batch is cut into fixed-size shards of
-// job indices, and each live member repeatedly pulls up to its advertised
-// worker count of shards per request, so faster and wider workers
-// naturally take more of the batch. A member that fails Retries
+// Each Run submits its cache misses as one batch to a fresh Scheduler
+// (the same one the sweep daemon runs), so the failure policy is the
+// Scheduler's: failed shards requeue, a member failing Retries
 // consecutive times is dropped (and, for dynamic members, quarantined in
-// the registry). Results merge positionally and completed shards stream
-// into Cache as they arrive, so the output is byte-identical to a serial
-// local run regardless of membership history, and an aborted sweep
-// resumes incrementally.
+// the registry), a 412 from /run drops the member, and a shard refused
+// on every attempt fails the run. With one batch, the Scheduler's
+// round-robin is plain work-pulling: faster and wider workers naturally
+// take more of the batch. Results merge positionally and completed
+// shards stream into Cache as they arrive, so the output is
+// byte-identical to a serial local run regardless of membership history,
+// and an aborted sweep resumes incrementally.
 type Coordinator struct {
 	// Endpoints lists workers as "host:port" (or full base URLs), known up
 	// front. With no Endpoints and no Fleet, the batch runs on Local (or a
@@ -84,18 +86,6 @@ type Coordinator struct {
 	mu sync.Mutex // guards Progress
 }
 
-// traceSeq numbers one Run's shard dispatches under its root trace ID.
-// Per-run (not per-Coordinator) state, so a reused Coordinator value
-// keeps runs' chains distinct.
-type traceSeq struct {
-	root string
-	seq  atomic.Int64
-}
-
-func (t *traceSeq) next() string {
-	return obs.ChildID(t.root, t.seq.Add(1))
-}
-
 func (c *Coordinator) log() *slog.Logger {
 	if c.Logger != nil {
 		return c.Logger
@@ -121,34 +111,6 @@ func (c *Coordinator) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Coordinator) shardSize() int {
-	if c.ShardSize <= 0 {
-		return 4
-	}
-	return c.ShardSize
-}
-
-func (c *Coordinator) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 10 * time.Minute
-	}
-	return c.Timeout
-}
-
-func (c *Coordinator) retries() int {
-	if c.Retries <= 0 {
-		return 2
-	}
-	return c.Retries
-}
-
-func (c *Coordinator) pollInterval() time.Duration {
-	if c.PollInterval <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.PollInterval
-}
-
 // SplitEndpoints parses a comma-separated -remote flag value into an
 // endpoint list, dropping empty entries. Both CLIs use it so -remote
 // parsing cannot diverge between them.
@@ -170,39 +132,13 @@ func baseURL(ep string) string {
 	return "http://" + ep
 }
 
-// shardQueue holds unassigned shards (slices of job indices). Members
-// pull from it and push failed shards back; order is irrelevant because
-// the merge is positional.
-type shardQueue struct {
-	mu     sync.Mutex
-	shards [][]int
-}
-
-func (q *shardQueue) push(shards ...[]int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.shards = append(q.shards, shards...)
-}
-
-// popUpTo removes and returns at most n shards.
-func (q *shardQueue) popUpTo(n int) [][]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if n > len(q.shards) {
-		n = len(q.shards)
-	}
-	out := make([][]int, n)
-	copy(out, q.shards[:n])
-	q.shards = q.shards[n:]
-	return out
-}
-
 // Run implements harness.Executor. With no endpoints and no fleet it
 // delegates to the local runner; otherwise it validates, serves what it
-// can from Cache, handshakes the static endpoints, and dispatches the
-// remaining jobs as shards across the (possibly churning) membership.
-// The first fatal condition (version mismatch, a static-only fleet fully
-// dead, context cancelled) aborts the batch; already-completed shards
+// can from Cache, handshakes the static endpoints, and submits the
+// remaining jobs as one batch to a Scheduler over the (possibly
+// churning) membership. The first fatal condition (version mismatch at
+// handshake, a static-only fleet fully dead, a shard refused on every
+// attempt, context cancelled) aborts the batch; already-completed shards
 // remain in Cache.
 func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Result, error) {
 	if len(c.Endpoints) == 0 && c.Fleet == nil {
@@ -260,31 +196,15 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 		reg.Add(h.base, h.workers, true, "")
 	}
 
-	q := &shardQueue{}
-	size := c.shardSize()
-	nshards := 0
-	for lo := 0; lo < len(miss); lo += size {
-		hi := lo + size
-		if hi > len(miss) {
-			hi = len(miss)
-		}
-		q.push(miss[lo:hi])
-		nshards++
-	}
-	ts := &traceSeq{root: obs.NewTraceID()}
-	c.logf("dist: %d jobs in %d shards across %d workers", len(miss), nshards, len(reg.Live()))
-	c.log().Info("batch start", "trace", ts.root, "jobs", len(miss), "shards", nshards, "workers", len(reg.Live()))
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		remaining atomic.Int64
 		fatalMu   sync.Mutex
 		fatalErr  error
-		doneOnce  sync.Once
 	)
-	done := make(chan struct{})
 	remaining.Store(int64(len(miss)))
+	done := make(chan struct{})
 	fail := func(err error) {
 		fatalMu.Lock()
 		if fatalErr == nil {
@@ -293,13 +213,48 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 		fatalMu.Unlock()
 		cancel()
 	}
-	merged := func(n int64) {
-		if remaining.Add(-n) == 0 {
-			doneOnce.Do(func() { close(done) })
-		}
+	sched := &Scheduler{
+		Fleet: reg, Client: c.Client, AuthToken: c.AuthToken,
+		ShardSize: c.ShardSize, Timeout: c.Timeout, Logger: c.log(),
+		Logf:    func(format string, args ...any) { c.logf("dist: "+format, args...) },
+		retries: c.Retries, pollInterval: c.PollInterval, trace: obs.NewTraceID(),
 	}
+	nshards := sched.Submit(&Batch{
+		ID:   sched.trace,
+		Jobs: jobs,
+		Deliver: func(worker string, indices []int, rs []JobResult) {
+			for k, idx := range indices {
+				jr := rs[k]
+				// Timing rides beside the results into the merged matrix; the
+				// cache stores only jr.Results, so cached bytes stay identical
+				// to a serial local run.
+				results[idx] = harness.Result{Job: jobs[idx], Results: jr.Results, Cached: jr.Cached, Timing: jr.Timing}
+				if c.Cache != nil {
+					if err := c.Cache.Put(jobs[idx], jr.Results); err != nil {
+						fail(fmt.Errorf("cache put: %w", err))
+						return
+					}
+				}
+			}
+			n := remaining.Add(-int64(len(indices)))
+			c.logf("dist: %s completed %d jobs (%d remaining)", worker, len(indices), n)
+			if n == 0 {
+				close(done)
+			}
+		},
+		Fail: func(err error) { fail(fmt.Errorf("dist: %w", err)) },
+	}, miss)
+	c.logf("dist: %d jobs in %d shards across %d workers", len(miss), nshards, len(reg.Live()))
+	c.log().Info("batch start", "trace", sched.trace, "jobs", len(miss), "shards", nshards, "workers", len(reg.Live()))
 
-	c.schedule(runCtx, reg, q, ts, jobs, results, &remaining, merged, done, fail)
+	schedDone := make(chan struct{})
+	go func() {
+		defer close(schedDone)
+		sched.Run(runCtx)
+	}()
+	c.wait(runCtx, reg, sched, &remaining, done, fail)
+	cancel()
+	<-schedDone // no Deliver runs after this: results are final
 
 	fatalMu.Lock()
 	err = fatalErr
@@ -316,107 +271,35 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 	return results, nil
 }
 
-// memberLoop tracks one member's running serve goroutine.
-type memberLoop struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-// schedule runs serve loops for the registry's live members until every
-// missing job has merged, a fatal error occurs, or ctx is cancelled.
-// Membership is re-polled every PollInterval: a joined member gets a
-// serve loop immediately, an evicted or quarantined member has its loop
-// cancelled (in-flight shards requeue through the normal failure path),
-// and a static-only fleet running dry fails the batch.
-func (c *Coordinator) schedule(ctx context.Context, reg *Registry, q *shardQueue, ts *traceSeq,
-	jobs []harness.Job, results []harness.Result,
-	remaining *atomic.Int64, merged func(int64), done <-chan struct{}, fail func(error)) {
-
-	active := map[string]*memberLoop{}
-	var (
-		errMu   sync.Mutex
-		lastErr error
-	)
-	recordErr := func(err error) {
-		errMu.Lock()
-		lastErr = err
-		errMu.Unlock()
-	}
-
-	stopAll := func() {
-		//vbi:allow maporder cancel is idempotent per loop; order immaterial, results merge positionally
-		for _, l := range active {
-			l.cancel()
-		}
-		//vbi:allow maporder joins every loop; completion set, not order, is what matters
-		for _, l := range active {
-			<-l.done
-		}
-	}
-
-	ticker := time.NewTicker(c.pollInterval())
+// wait blocks until the batch has merged, ctx ends, or the fleet has run
+// dry for good. The dry-fleet rule lives here, not in the Scheduler: a
+// static-only fleet that runs dry can never recover, so the batch fails;
+// a dynamic one waits for the next join. The sweep daemon starts its
+// scheduler before its fleet routes are mounted, so a scheduler-side
+// rule would misread the daemon's fleet as static.
+func (c *Coordinator) wait(ctx context.Context, reg *Registry, sched *Scheduler,
+	remaining *atomic.Int64, done <-chan struct{}, fail func(error)) {
+	ticker := time.NewTicker(sched.pollInterval)
 	defer ticker.Stop()
 	waiting := false
 	for {
-		// Reap exited loops so a rejoined member can be re-served.
-		//vbi:allow maporder per-member reap; each entry is tested and deleted independently
-		for id, l := range active {
-			select {
-			case <-l.done:
-				delete(active, id)
-			default:
-			}
-		}
-		live := reg.Live()
-		alive := map[string]bool{}
-		for _, m := range live {
-			alive[m.ID] = true
-		}
-		// Cancel loops whose member was evicted (missed heartbeats) or
-		// quarantined: a dead worker's loop must not sit on the queue.
-		//vbi:allow maporder per-member cancel; entries are independent and cancel is idempotent
-		for id, l := range active {
-			if !alive[id] {
-				l.cancel()
-			}
-		}
-		for _, m := range live {
-			if _, ok := active[m.ID]; ok {
-				continue
-			}
-			mctx, mcancel := context.WithCancel(ctx)
-			l := &memberLoop{cancel: mcancel, done: make(chan struct{})}
-			active[m.ID] = l
-			go func(m Member) {
-				defer close(l.done)
-				defer mcancel()
-				c.serve(mctx, m, reg, q, ts, jobs, results, remaining, merged, fail, recordErr)
-			}(m)
-		}
-		if len(active) == 0 && remaining.Load() > 0 {
-			if !reg.Dynamic() {
-				errMu.Lock()
-				err := lastErr
-				errMu.Unlock()
-				if err == nil {
-					err = fmt.Errorf("dist: no live workers")
-				}
-				fail(fmt.Errorf("dist: every worker failed: %w", err))
-				return
-			}
-			if !waiting {
-				waiting = true
-				c.logf("dist: no live workers; waiting for joins (%d jobs queued)", remaining.Load())
-			}
-		} else {
+		if len(reg.Live()) > 0 {
 			waiting = false
+		} else if !reg.Dynamic() {
+			err := sched.lastDrop()
+			if err == nil {
+				err = fmt.Errorf("dist: no live workers")
+			}
+			fail(fmt.Errorf("dist: every worker failed: %w", err))
+			return
+		} else if !waiting {
+			waiting = true
+			c.logf("dist: no live workers; waiting for joins (%d jobs queued)", remaining.Load())
 		}
 		select {
 		case <-ctx.Done():
-			stopAll()
 			return
 		case <-done:
-			stopAll()
 			return
 		case <-ticker.C:
 		}
@@ -486,17 +369,13 @@ func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
 				return Hello{}, err
 			}
 		}
-		h, err := c.helloOnce(ctx, base)
+		h, err := Probe(ctx, c.client(), base, c.AuthToken)
 		if err == nil {
 			return h, nil
 		}
 		lastErr = err
 	}
 	return Hello{}, lastErr
-}
-
-func (c *Coordinator) helloOnce(ctx context.Context, base string) (Hello, error) {
-	return Probe(ctx, c.client(), base, c.AuthToken)
 }
 
 // Probe fetches one endpoint's handshake (PathHealthz). It is the
@@ -524,101 +403,6 @@ func Probe(ctx context.Context, client *http.Client, base, token string) (Hello,
 		return Hello{}, fmt.Errorf("healthz: %w", err)
 	}
 	return h, nil
-}
-
-// serve is one member's dispatch loop: pull up to weight shards, send
-// them as one request, merge or requeue. It exits when the member's
-// context is cancelled (eviction, or the run ending) or when the member
-// is dropped for consecutive failures.
-func (c *Coordinator) serve(ctx context.Context, m Member, reg *Registry, q *shardQueue, ts *traceSeq,
-	jobs []harness.Job, results []harness.Result,
-	remaining *atomic.Int64, merged func(int64), fail, recordErr func(error)) {
-	consecutive := 0
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		// Re-read the weight each round: a member that re-registered with a
-		// different pool width (restarted on different hardware) pulls at
-		// its new width immediately.
-		shards := q.popUpTo(reg.WeightOf(m.ID, m.Weight))
-		if len(shards) == 0 {
-			if remaining.Load() == 0 {
-				return
-			}
-			// Another member holds the rest in flight; it may requeue.
-			if sleepCtx(ctx, 25*time.Millisecond) != nil {
-				return
-			}
-			continue
-		}
-		var indices []int
-		for _, s := range shards {
-			indices = append(indices, s...)
-		}
-		trace := ts.next()
-		log := c.log().With("trace", trace, "worker", m.ID)
-		log.Info("shard dispatch", "jobs", len(indices))
-		start := time.Now()
-		resp, fatal, err := c.runShard(ctx, m, indices, jobs, trace)
-		if fatal != nil {
-			q.push(shards...)
-			log.Error("shard fatal", "err", fatal)
-			fail(fatal)
-			return
-		}
-		if err != nil {
-			q.push(shards...)
-			// A cancelled member (evicted mid-request, or the run ending)
-			// is not a worker failure: requeue and leave quietly.
-			if ctx.Err() != nil {
-				return
-			}
-			consecutive++
-			if consecutive >= c.retries() {
-				c.logf("dist: dropping worker %s after %d consecutive failures: %v", m.ID, consecutive, err)
-				log.Warn("worker dropped", "failures", consecutive, "err", err)
-				recordErr(fmt.Errorf("last error from %s: %w", m.ID, err))
-				reg.Remove(m.ID)
-				return
-			}
-			c.logf("dist: %s failed (attempt %d, %d jobs requeued): %v", m.ID, consecutive, len(indices), err)
-			log.Warn("shard requeued", "attempt", consecutive, "jobs", len(indices), "err", err)
-			if sleepCtx(ctx, time.Duration(consecutive)*100*time.Millisecond) != nil {
-				return
-			}
-			continue
-		}
-		consecutive = 0
-		for k, idx := range indices {
-			jr := resp.Results[k]
-			// Timing rides beside the results into the merged matrix; the
-			// cache stores only jr.Results, so cached bytes stay identical
-			// to a serial local run.
-			results[idx] = harness.Result{Job: jobs[idx], Results: jr.Results, Cached: jr.Cached, Timing: jr.Timing}
-			if c.Cache != nil {
-				if err := c.Cache.Put(jobs[idx], jr.Results); err != nil {
-					fail(fmt.Errorf("cache put: %w", err))
-					return
-				}
-			}
-			merged(1)
-		}
-		c.logf("dist: %s completed %d jobs (%d remaining)", m.ID, len(indices), remaining.Load())
-		log.Info("shard complete", "jobs", len(indices), "seconds", time.Since(start).Seconds(), "remaining", remaining.Load())
-	}
-}
-
-// runShard sends one batch to one member. The second return is a fatal
-// error (version mismatch: abort the run), the third a retryable one
-// (requeue the shards).
-func (c *Coordinator) runShard(ctx context.Context, m Member, indices []int,
-	jobs []harness.Job, trace string) (RunResponse, error, error) {
-	batch := make([]harness.Job, len(indices))
-	for k, idx := range indices {
-		batch[k] = jobs[idx]
-	}
-	return ExecuteShard(ctx, c.client(), m, c.AuthToken, c.timeout(), batch, trace)
 }
 
 // ExecuteShard sends one job batch to one member over the wire protocol

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"vbi/internal/dist"
 	"vbi/internal/obs"
 )
 
@@ -12,64 +13,18 @@ import (
 // Prometheus text exposition format through the shared internal/obs
 // writer. Counters are cumulative over the daemon process lifetime;
 // queue depths, fleet size and sweep states are gauges computed at
-// scrape time from live state. Rendering is deterministic — fixed family
-// order, sorted label values — so two scrapes of the same state are
-// byte-identical.
+// scrape time from live state, and the per-worker shard families come
+// from the scheduler's dist.ShardStats. Rendering is deterministic —
+// fixed family order, sorted label values — so two scrapes of the same
+// state are byte-identical.
 type metrics struct {
-	mu sync.Mutex
-	// per-worker counters, keyed by member ID
-	shardsDispatched map[string]int64
-	shardsCompleted  map[string]int64
-	shardFailures    map[string]int64
-	// per-worker shard round-trip latency (dispatch to merged response)
-	shardSeconds map[string]*obs.Histogram
-	// job + sweep counters
+	mu              sync.Mutex
 	jobsCompleted   int64
 	jobsFromCache   int64 // completions served by the daemon's cache pre-pass
 	sweepsSubmitted int64
 	sweepsDone      int64
 	sweepsFailed    int64
 	sweepsCancelled int64
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		shardsDispatched: map[string]int64{},
-		shardsCompleted:  map[string]int64{},
-		shardFailures:    map[string]int64{},
-		shardSeconds:     map[string]*obs.Histogram{},
-	}
-}
-
-func (m *metrics) dispatched(worker string, shards int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardsDispatched[worker] += int64(shards)
-}
-
-func (m *metrics) completedShards(worker string, shards int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardsCompleted[worker] += int64(shards)
-}
-
-// observeShard records one completed shard request's round-trip seconds
-// against its worker.
-func (m *metrics) observeShard(worker string, seconds float64) {
-	m.mu.Lock()
-	h, ok := m.shardSeconds[worker]
-	if !ok {
-		h = obs.NewHistogram(obs.LatencyBuckets()...)
-		m.shardSeconds[worker] = h
-	}
-	m.mu.Unlock()
-	h.Observe(seconds)
-}
-
-func (m *metrics) failed(worker string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardFailures[worker]++
 }
 
 func (m *metrics) jobDone(fromCache bool) {
@@ -98,21 +53,11 @@ func (m *metrics) sweepEvent(state string) {
 
 // latency summarizes every worker's shard round-trip histogram for
 // /status, sorted by worker ID.
-func (m *metrics) latency() []WorkerLatency {
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.shardSeconds))
-	for id := range m.shardSeconds {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	snaps := make([]obs.HistogramSnapshot, len(ids))
-	for i, id := range ids {
-		snaps[i] = m.shardSeconds[id].Snapshot()
-	}
-	m.mu.Unlock()
+func latency(seconds map[string]obs.HistogramSnapshot) []WorkerLatency {
+	ids := sortedKeys(seconds)
 	out := make([]WorkerLatency, len(ids))
 	for i, id := range ids {
-		s := snaps[i]
+		s := seconds[id]
 		out[i] = WorkerLatency{
 			Worker:     id,
 			Count:      s.Count,
@@ -124,39 +69,32 @@ func (m *metrics) latency() []WorkerLatency {
 	return out
 }
 
-// perWorker renders a per-worker counter map as sorted samples (sorted so
-// scrapes are diffable).
-func perWorker(counts map[string]int64) []obs.Sample {
-	ids := make([]string, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
+// sortedKeys returns a map's keys in sorted order, so scrapes are
+// diffable.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(ids)
-	out := make([]obs.Sample, len(ids))
-	for i, id := range ids {
-		out[i] = obs.S(counts[id], obs.L("worker", id))
-	}
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
-// perSweep renders a per-sweep float gauge map as sorted samples.
-func perSweep(values map[string]float64) []obs.Sample {
-	ids := make([]string, 0, len(values))
-	for id := range values {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]obs.Sample, len(ids))
-	for i, id := range ids {
-		out[i] = obs.S(values[id], obs.L("sweep", id))
+// labeled renders a map as one sample per key, labelled label=key, in
+// sorted key order.
+func labeled[V int | int64 | float64](label string, m map[string]V) []obs.Sample {
+	out := make([]obs.Sample, 0, len(m))
+	for _, k := range sortedKeys(m) {
+		out = append(out, obs.S(m[k], obs.L(label, k)))
 	}
 	return out
 }
 
 // WriteMetrics renders the full exposition for one scrape. The caller
-// (Server.handleMetrics) passes the live gauges; the counter families
-// come from the metrics struct itself.
-func (m *metrics) WriteMetrics(w io.Writer, gauges gauges) {
+// (Server.handleMetrics) passes the live gauges and the scheduler's
+// shard accounting; the other counter families come from the metrics
+// struct itself.
+func (m *metrics) WriteMetrics(w io.Writer, gauges gauges, shards dist.ShardStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -171,24 +109,16 @@ func (m *metrics) WriteMetrics(w io.Writer, gauges gauges) {
 	}
 	obs.WriteFamily(w, "sweepd_sweeps", "Known sweeps by state.", "gauge", states)
 
-	var depths []obs.Sample
-	ids := make([]string, 0, len(gauges.queueDepths))
-	for id := range gauges.queueDepths {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		depths = append(depths, obs.S(gauges.queueDepths[id], obs.L("sweep", id)))
-	}
-	obs.WriteFamily(w, "sweepd_queue_depth_shards", "Pending shards per active sweep.", "gauge", depths)
+	obs.WriteFamily(w, "sweepd_queue_depth_shards", "Pending shards per active sweep.", "gauge",
+		labeled("sweep", gauges.queueDepths))
 	obs.WriteFamily(w, "sweepd_jobs_queued", "Jobs not yet completed across active sweeps.", "gauge",
 		[]obs.Sample{obs.S(gauges.jobsQueued)})
 	obs.WriteFamily(w, "sweepd_jobs_in_flight", "Jobs currently dispatched to workers.", "gauge",
 		[]obs.Sample{obs.S(gauges.jobsInFlight)})
 	obs.WriteFamily(w, "sweepd_sweep_jobs_per_second", "Remote job completion rate per active sweep.", "gauge",
-		perSweep(gauges.jobsPerSecond))
+		labeled("sweep", gauges.jobsPerSecond))
 	obs.WriteFamily(w, "sweepd_sweep_eta_seconds", "Projected seconds to drain each active sweep at its current rate.", "gauge",
-		perSweep(gauges.etaSeconds))
+		labeled("sweep", gauges.etaSeconds))
 
 	obs.WriteFamily(w, "sweepd_sweeps_submitted_total", "Sweeps accepted since daemon start.", "counter",
 		[]obs.Sample{obs.S(m.sweepsSubmitted)})
@@ -204,21 +134,15 @@ func (m *metrics) WriteMetrics(w io.Writer, gauges gauges) {
 		[]obs.Sample{obs.S(m.jobsFromCache)})
 
 	obs.WriteFamily(w, "sweepd_shards_dispatched_total", "Shards sent to each worker.", "counter",
-		perWorker(m.shardsDispatched))
+		labeled("worker", shards.Dispatched))
 	obs.WriteFamily(w, "sweepd_shards_completed_total", "Shards each worker completed (rate = shard throughput).", "counter",
-		perWorker(m.shardsCompleted))
+		labeled("worker", shards.Completed))
 	obs.WriteFamily(w, "sweepd_shard_failures_total", "Failed shard requests per worker.", "counter",
-		perWorker(m.shardFailures))
+		labeled("worker", shards.Failed))
 
 	var lat []obs.Sample
-	wids := make([]string, 0, len(m.shardSeconds))
-	for id := range m.shardSeconds {
-		wids = append(wids, id)
-	}
-	sort.Strings(wids)
-	for _, id := range wids {
-		lat = append(lat, obs.QuantileSamples(m.shardSeconds[id].Snapshot(),
-			[]float64{0.5, 0.9, 0.99}, obs.L("worker", id))...)
+	for _, id := range sortedKeys(shards.Seconds) {
+		lat = append(lat, obs.QuantileSamples(shards.Seconds[id], []float64{0.5, 0.9, 0.99}, obs.L("worker", id))...)
 	}
 	obs.WriteFamily(w, "sweepd_shard_seconds_quantile", "Estimated shard round-trip latency quantiles per worker.", "gauge", lat)
 

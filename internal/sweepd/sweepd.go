@@ -49,14 +49,6 @@ type Server struct {
 	ShardSize int
 	// Timeout bounds one worker request (<=0 = 10m).
 	Timeout time.Duration
-	// Retries is how many consecutive failures drop a worker (<=0 = 2).
-	Retries int
-	// MaxShardAttempts fails a sweep whose shard has been refused this
-	// many times across the whole fleet (<=0 = 8) — the backstop against a
-	// job that errors deterministically on every worker.
-	MaxShardAttempts int
-	// PollInterval is the membership poll cadence (<=0 = 250ms).
-	PollInterval time.Duration
 	// Logger, when non-nil, receives the daemon's structured activity
 	// records. cmd/vbisweepd wires it to -log-format/-log-level; shard
 	// dispatch records carry the scheduler's trace-ID chain.
@@ -68,7 +60,7 @@ type Server struct {
 	mu      sync.Mutex
 	sweeps  map[string]*sweep
 	order   []string // submission order, for listings and resume
-	sched   *scheduler
+	sched   *dist.Scheduler
 	metrics *metrics
 }
 
@@ -81,7 +73,6 @@ type sweep struct {
 	completed []bool
 	remaining int
 	cached    int
-	inflight  int
 	// Observability accounting, accumulated from per-job timing records:
 	// summed worker wall nanos (cache hits excluded), summed phase events,
 	// and the remote-completion rate basis for throughput/ETA.
@@ -119,48 +110,6 @@ func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
-func (s *Server) shardSize() int {
-	if s.ShardSize <= 0 {
-		return 4
-	}
-	return s.ShardSize
-}
-
-func (s *Server) timeout() time.Duration {
-	if s.Timeout <= 0 {
-		return 10 * time.Minute
-	}
-	return s.Timeout
-}
-
-func (s *Server) retries() int {
-	if s.Retries <= 0 {
-		return 2
-	}
-	return s.Retries
-}
-
-func (s *Server) maxShardAttempts() int {
-	if s.MaxShardAttempts <= 0 {
-		return 8
-	}
-	return s.MaxShardAttempts
-}
-
-func (s *Server) pollInterval() time.Duration {
-	if s.PollInterval <= 0 {
-		return 250 * time.Millisecond
-	}
-	return s.PollInterval
-}
-
-func (s *Server) client() *http.Client {
-	if s.Client != nil {
-		return s.Client
-	}
-	return http.DefaultClient
-}
-
 func (s *Server) log() *slog.Logger {
 	if s.Logger != nil {
 		return s.Logger
@@ -189,13 +138,17 @@ func (s *Server) Start(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	s.sweeps = map[string]*sweep{}
-	s.metrics = newMetrics()
-	s.sched = newScheduler(s)
+	s.metrics = &metrics{}
+	s.sched = &dist.Scheduler{
+		Fleet: s.Fleet, Client: s.Client, AuthToken: s.AuthToken,
+		ShardSize: s.ShardSize, Timeout: s.Timeout, Logger: s.log(),
+		Logf: func(format string, args ...any) { s.logf("sweepd: "+format, args...) },
+	}
 	s.mu.Unlock()
 	if err := s.load(); err != nil {
 		return err
 	}
-	go s.sched.run(ctx)
+	go s.sched.Run(ctx)
 	return nil
 }
 
@@ -368,17 +321,17 @@ func (s *Server) admit(sw *sweep) {
 		}
 		miss = append(miss, i)
 	}
-	size := s.shardSize()
-	var tasks []*task
-	for lo := 0; lo < len(miss); lo += size {
-		hi := lo + size
-		if hi > len(miss) {
-			hi = len(miss)
-		}
-		tasks = append(tasks, &task{sweepID: sw.rec.ID, indices: miss[lo:hi]})
-	}
-	s.sched.queue.add(sw.rec.ID, tasks)
-	s.sched.nudge()
+	id := sw.rec.ID
+	s.sched.Submit(&dist.Batch{
+		ID:   id,
+		Jobs: sw.jobs,
+		Deliver: func(_ string, indices []int, rs []dist.JobResult) {
+			for k, idx := range indices {
+				s.complete(id, idx, rs[k].Results, false, rs[k].Timing)
+			}
+		},
+		Fail: func(err error) { s.failSweep(id, err) },
+	}, miss)
 }
 
 // complete records one finished job. Duplicate completions (a shard
@@ -418,12 +371,13 @@ func (s *Server) complete(sweepID string, idx int, results []system.RunResult, f
 			s.logf("sweepd: cache put: %v", err)
 		}
 	}
-	last := sw.remaining == 0
-	if last {
+	// Count the job before the sweep can turn done: a scrape that sees
+	// the done state must also see every one of its jobs counted.
+	s.metrics.jobDone(fromCache)
+	if sw.remaining == 0 {
 		s.finalizeLocked(sw)
 	}
 	s.mu.Unlock()
-	s.metrics.jobDone(fromCache)
 }
 
 // finalizeLocked renders the done sweep's matrix and journals the
@@ -454,17 +408,14 @@ func (s *Server) finalizeLocked(sw *sweep) {
 	s.logf("sweepd: sweep %s done (%d jobs, %d from cache)", sw.rec.ID, len(sw.jobs), sw.cached)
 }
 
-// failSweep marks a sweep failed and drops its queued shards.
+// failSweep marks a sweep failed. It is its batch's Fail callback: the
+// scheduler has already dropped the sweep's queued shards.
 func (s *Server) failSweep(sweepID string, cause error) {
 	s.mu.Lock()
-	sw, ok := s.sweeps[sweepID]
-	if !ok || terminal(sw.rec.State) {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if sw, ok := s.sweeps[sweepID]; ok && !terminal(sw.rec.State) {
+		s.failLocked(sw, cause)
 	}
-	s.failLocked(sw, cause)
-	s.mu.Unlock()
-	s.sched.queue.drop(sweepID)
 }
 
 func (s *Server) failLocked(sw *sweep, cause error) {
@@ -476,18 +427,6 @@ func (s *Server) failLocked(sw *sweep, cause error) {
 	}
 	s.metrics.sweepEvent(StateFailed)
 	s.logf("sweepd: sweep %s failed: %v", sw.rec.ID, cause)
-}
-
-// markInFlight adjusts per-sweep in-flight job counts around a dispatch.
-func (s *Server) markInFlight(refs map[string]int, delta int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//vbi:allow maporder each sweep id adjusts its own counter; += commutes and ids are distinct
-	for id, n := range refs {
-		if sw, ok := s.sweeps[id]; ok {
-			sw.inflight += n * delta
-		}
-	}
 }
 
 // statusLocked derives a sweep's reported status. Active records persist
@@ -502,7 +441,7 @@ func (s *Server) statusLocked(sw *sweep) SweepStatus {
 		Total:       len(sw.jobs),
 		Completed:   len(sw.jobs) - sw.remaining,
 		Cached:      sw.cached,
-		InFlight:    sw.inflight,
+		InFlight:    s.sched.InFlight(sw.rec.ID),
 		SubmittedAt: sw.rec.SubmittedAt,
 		FinishedAt:  sw.rec.FinishedAt,
 		Error:       sw.rec.Error,
@@ -513,7 +452,7 @@ func (s *Server) statusLocked(sw *sweep) SweepStatus {
 		st.Phases = &p
 	}
 	if !terminal(st.State) {
-		st.Queued = sw.remaining - sw.inflight
+		st.Queued = sw.remaining - st.InFlight
 		if st.Completed > 0 || st.InFlight > 0 {
 			st.State = StateRunning
 		} else {
@@ -646,7 +585,7 @@ func (s *Server) cancel(id string) (SweepStatus, bool) {
 	}
 	st := s.statusLocked(sw)
 	s.mu.Unlock()
-	s.sched.queue.drop(id)
+	s.sched.Drop(id)
 	s.metrics.sweepEvent(StateCancelled)
 	s.logf("sweepd: cancelled sweep %s", id)
 	return st, true
@@ -662,7 +601,7 @@ func (s *Server) handleStatus(rw http.ResponseWriter, req *http.Request) {
 		Version: dist.ProtocolVersion,
 		Fleet:   s.Fleet.Snapshot(),
 		Sweeps:  []SweepStatus{},
-		Latency: s.metrics.latency(),
+		Latency: latency(s.sched.Stats().Seconds),
 	}
 	s.mu.Lock()
 	for _, id := range s.order {
@@ -695,7 +634,7 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 		st := s.statusLocked(s.sweeps[id])
 		g.sweepStates[st.State]++
 		if !terminal(st.State) {
-			g.queueDepths[id] = s.sched.queue.depth(id)
+			g.queueDepths[id] = s.sched.Depth(id)
 			g.jobsQueued += st.Queued
 			g.jobsInFlight += st.InFlight
 			if st.JobsPerSecond > 0 {
@@ -710,5 +649,5 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 	}
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rw.WriteHeader(http.StatusOK)
-	s.metrics.WriteMetrics(rw, g)
+	s.metrics.WriteMetrics(rw, g, s.sched.Stats())
 }
